@@ -12,12 +12,24 @@ import numpy as np
 import pytest
 from conftest import record_bench
 
+from repro.bench.datasets import build_dataset
 from repro.core.delimiters import DelimiterMap
+from repro.core.edgefile import EdgeFile
 from repro.core.nodefile import NodeFile
 from repro.succinct import SuccinctFile
 from repro.workloads.properties import TAOPropertyModel
 
 TEXT_BYTES = 64 * 1024
+
+
+def _best(fn, repeats=3):
+    """Fastest of ``repeats`` timed calls of ``fn``, in seconds."""
+    floor = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        floor = min(floor, time.perf_counter() - start)
+    return floor
 
 
 @pytest.fixture(scope="module")
@@ -134,22 +146,14 @@ def test_micro_kernel_speedup_artifact(compressed, corpus):
     machine-independent ratios. Both sides run on the same machine in
     the same process, so the ratio cancels absolute speed."""
 
-    def best(fn, repeats=3):
-        floor = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            floor = min(floor, time.perf_counter() - start)
-        return floor
-
     offsets = np.random.default_rng(1).integers(
         0, len(corpus) - 1024, 8
     ).tolist()
-    extract_batched = best(lambda: [compressed.extract(o, 1024) for o in offsets])
-    extract_scalar = best(lambda: [compressed.extract_scalar(o, 1024) for o in offsets])
+    extract_batched = _best(lambda: [compressed.extract(o, 1024) for o in offsets])
+    extract_scalar = _best(lambda: [compressed.extract_scalar(o, 1024) for o in offsets])
     pattern = corpus[5_000:5_002]
-    search_batched = best(lambda: compressed.search(pattern))
-    search_scalar = best(lambda: compressed.search_scalar(pattern))
+    search_batched = _best(lambda: compressed.search(pattern))
+    search_scalar = _best(lambda: compressed.search_scalar(pattern))
 
     extract_speedup = extract_scalar / extract_batched
     search_speedup = search_scalar / search_batched
@@ -188,3 +192,55 @@ def test_micro_nodefile_property_lookup(benchmark):
 
     value = benchmark(run)
     assert value is not None
+
+
+def test_micro_find_record_vs_extract_artifact():
+    """Self-timed: EdgeFile record lookup (backward search for
+    ``$src#etype,`` plus SA resolution of the hit) over a 48-byte
+    extract on the same compressed file.
+
+    The EdgeFile holds the records of every fourth source of the
+    ``orkut`` TAO graph at alpha 32, a shard of the shape every
+    assoc_* query searches. Half
+    the probes hit a record and half miss on an absent edge type, as
+    lookups on the other shards do. Backward search makes one numpy
+    call per pattern byte and extract a fixed few, so a per-character
+    numpy overhead in search shows up as a rise in this ratio.
+    """
+    graph = build_dataset("orkut")
+    edges = {}
+    for source in graph.node_ids():
+        if source % 4:
+            continue
+        for edge_type in graph.edge_types_of(source):
+            edges[(source, edge_type)] = graph.edges_of(source, edge_type)
+    edge_file = EdgeFile(edges, DelimiterMap(graph.all_property_ids()), alpha=32)
+    keys = sorted(edges)
+    hits = keys[:: max(1, len(keys) // 200)]
+    misses = [(source, edge_type + 1000) for source, edge_type in hits]
+    assert all(edge_file.find_record(*key) is not None for key in hits)
+    assert all(edge_file.find_record(*key) is None for key in misses)
+    probes = [key for pair in zip(hits, misses) for key in pair]
+
+    flat = edge_file._file
+    offsets = np.random.default_rng(3).integers(
+        0, len(flat) - 48, len(probes)
+    ).tolist()
+    extracts = [(offset, 48) for offset in offsets]
+
+    find_record = _best(
+        lambda: [edge_file.find_record(*key) for key in probes], repeats=5
+    ) / len(probes)
+    extract48 = _best(
+        lambda: [flat.extract(*request) for request in extracts], repeats=5
+    ) / len(extracts)
+    ratio = find_record / extract48
+    record_bench(
+        "micro_succinct",
+        result={
+            "find_record_seconds": find_record,
+            "extract48_seconds": extract48,
+            "find_record_vs_extract48": ratio,
+        },
+        gate={"micro.find_record_vs_extract48": (ratio, "lower_better")},
+    )

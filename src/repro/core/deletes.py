@@ -9,6 +9,8 @@ EdgeRecord's metadata carries the base index of its first edge).
 
 from __future__ import annotations
 
+from typing import List
+
 from repro.succinct.bitvector import BitVector
 
 
@@ -43,8 +45,16 @@ class DeletionIndex:
     def edge_deleted(self, edge_index: int) -> bool:
         return self._edges[edge_index]
 
+    def edges_deleted(self, start: int, end: int) -> List[bool]:
+        """Deletion flags of edges ``[start, end)``, one bitmap read."""
+        return self._edges.get_range(start, end).tolist()
+
     def num_deleted_edges(self) -> int:
         return self._edges.count()
+
+    def num_deleted_edges_in(self, start: int, end: int) -> int:
+        """Deleted edges among ``[start, end)``."""
+        return self._edges.count_range(start, end)
 
     def serialized_size_bytes(self) -> int:
         return self._nodes.serialized_size_bytes() + self._edges.serialized_size_bytes()

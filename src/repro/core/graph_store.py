@@ -106,8 +106,9 @@ class EdgeRecord:
             # one random access per edge.
             timestamps = fragment.all_timestamps()
             destinations = fragment.all_destinations()
+            deleted = fragment.deleted_flags()
             for local in range(fragment.edge_count):
-                if not fragment.deleted(local):
+                if not deleted[local]:
                     merged.append(
                         (
                             timestamps[local],

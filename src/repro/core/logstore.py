@@ -80,10 +80,10 @@ class LogEdgeFragment:
         self._store.stats.sequential_bytes += 8 * len(self._edges)
         return [edge.timestamp for edge in self._edges]
 
-    def deleted(self, time_order: int) -> bool:
+    def deleted_flags(self) -> List[bool]:
         # LogStore deletes are physical (the store is mutable), so a
         # present edge is by definition live.
-        return False
+        return [False] * len(self._edges)
 
     def deleted_count(self) -> int:
         return 0

@@ -69,10 +69,15 @@ class ShardEdgeFragment:
 
     def deleted_count(self) -> int:
         base = self._fragment.base_edge_index
-        return sum(
-            1
-            for i in range(self._fragment.edge_count)
-            if self._shard.deletions.edge_deleted(base + i)
+        return self._shard.deletions.num_deleted_edges_in(
+            base, base + self._fragment.edge_count
+        )
+
+    def deleted_flags(self) -> List[bool]:
+        """Per-TimeOrder deletion flags, from one bitmap range read."""
+        base = self._fragment.base_edge_index
+        return self._shard.deletions.edges_deleted(
+            base, base + self._fragment.edge_count
         )
 
     def mark_deleted(self, time_order: int) -> None:
@@ -329,9 +334,13 @@ class CompressedShard:
             destinations = fragment.all_destinations()
             timestamps = fragment.all_timestamps()
             properties = fragment.all_properties()
+            deleted = self.deletions.edges_deleted(
+                fragment.base_edge_index,
+                fragment.base_edge_index + fragment.edge_count,
+            )
             live: List[Edge] = []
             for order in range(fragment.edge_count):
-                if self.deletions.edge_deleted(fragment.base_edge_index + order):
+                if deleted[order]:
                     continue
                 live.append(Edge(
                     fragment.source,

@@ -30,6 +30,7 @@ class BitVector:
         num_blocks = (num_bits + _BLOCK_BITS - 1) // _BLOCK_BITS
         self._blocks = np.zeros(num_blocks, dtype=np.uint64)
         self._rank_prefix: np.ndarray | None = None
+        self._word_lists: tuple | None = None
 
     @classmethod
     def from_blocks(
@@ -56,6 +57,7 @@ class BitVector:
         vec._num_bits = num_bits
         vec._blocks = blocks.copy() if copy else blocks  # zipg: owned-copy
         vec._rank_prefix = None
+        vec._word_lists = None
         return vec
 
     @property
@@ -102,6 +104,7 @@ class BitVector:
         block, offset = divmod(index, _BLOCK_BITS)
         self._blocks[block] |= np.uint64(1) << np.uint64(offset)
         self._rank_prefix = None
+        self._word_lists = None
 
     def clear(self, index: int) -> None:
         """Set bit ``index`` to 0."""
@@ -109,6 +112,7 @@ class BitVector:
         block, offset = divmod(index, _BLOCK_BITS)
         self._blocks[block] &= ~(np.uint64(1) << np.uint64(offset))
         self._rank_prefix = None
+        self._word_lists = None
 
     def _ensure_rank(self) -> None:
         if self._rank_prefix is None:
@@ -135,6 +139,47 @@ class BitVector:
             mask = (np.uint64(1) << np.uint64(offset)) - np.uint64(1)
             total += int(_popcount_scalar(self._blocks[block] & mask))
         return total
+
+    def word_lists(self) -> tuple:
+        """``(blocks, rank_prefix)`` as plain Python int lists, built on
+        first call (``n/64`` entries each).
+
+        For scalar loops that probe a few bits and one rank: a list
+        index and an int shift cost a fraction of a numpy scalar
+        index. Bit ``i`` is ``(blocks[i >> 6] >> (i & 63)) & 1``;
+        ``rank1(i)`` is ``rank_prefix[i >> 6]`` plus the popcount of
+        the masked word. Rebuilt after any mutation.
+        """
+        if self._word_lists is None:
+            self._ensure_rank()
+            self._word_lists = (self._blocks.tolist(), self._rank_prefix.tolist())
+        return self._word_lists
+
+    def count_range(self, start: int, end: int) -> int:
+        """Number of set bits in ``[start, end)``.
+
+        Reads only the blocks the range spans, with one slice, so a
+        short range costs the same whether or not the rank directory
+        is current (mutable bitmaps invalidate it on every write).
+        """
+        if not 0 <= start <= end <= self._num_bits:
+            raise IndexError(
+                f"bit range [{start}, {end}) out of range [0, {self._num_bits}]"
+            )
+        if start == end:
+            return 0
+        words = self._blocks[start // _BLOCK_BITS : (end - 1) // _BLOCK_BITS + 1].tolist()
+        words[0] &= ~((1 << (start % _BLOCK_BITS)) - 1)
+        words[-1] &= (1 << ((end - 1) % _BLOCK_BITS + 1)) - 1
+        return sum(bin(word).count("1") for word in words)
+
+    def get_range(self, start: int, end: int) -> np.ndarray:
+        """Boolean array of the bits in ``[start, end)``."""
+        if not 0 <= start <= end <= self._num_bits:
+            raise IndexError(
+                f"bit range [{start}, {end}) out of range [0, {self._num_bits}]"
+            )
+        return self.get_many(np.arange(start, end, dtype=np.int64))
 
     def get_many(self, indices: np.ndarray) -> np.ndarray:
         """Vectorized ``__getitem__``: boolean array of bit values.

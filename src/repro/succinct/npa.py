@@ -55,6 +55,7 @@ class NextPointerArray:
         self._npa_list_cache: list | None = None
         self._bucket_starts_list_cache: list | None = None
         self._bucket_chars_list_cache: list | None = None
+        self._bucket_table_cache: list | None = None
         self._row_chars_cache: np.ndarray | None = None
         # Hop-doubling tables (npa^1, npa^2, npa^4, ...), built lazily by
         # the batched kernels: expanding anchors to `steps` consecutive
@@ -81,6 +82,23 @@ class NextPointerArray:
         if self._bucket_chars_list_cache is None:
             self._bucket_chars_list_cache = self._bucket_chars.tolist()
         return self._bucket_chars_list_cache
+
+    @property
+    def _bucket_table(self) -> list:
+        """Dense byte -> ``(start, end)`` bucket table (256 entries;
+        ``(0, 0)`` for bytes absent from the text): one list index per
+        backward-search step instead of a searchsorted and three numpy
+        scalar conversions."""
+        if self._bucket_table_cache is None:
+            table = [(0, 0)] * 256
+            for char, start, end in zip(
+                self._bucket_chars.tolist(),
+                self._bucket_starts.tolist(),
+                self._bucket_ends.tolist(),
+            ):
+                table[char] = (start, end)
+            self._bucket_table_cache = table
+        return self._bucket_table_cache
 
     @property
     def _row_chars(self) -> np.ndarray:
@@ -231,10 +249,7 @@ class NextPointerArray:
 
         Returns ``(0, 0)`` if the character does not occur in the text.
         """
-        index = int(np.searchsorted(self._bucket_chars, char))
-        if index >= len(self._bucket_chars) or self._bucket_chars[index] != char:
-            return (0, 0)
-        return (int(self._bucket_starts[index]), int(self._bucket_ends[index]))
+        return self._bucket_table[char]
 
     def refine_backward(self, char: int, low: int, high: int) -> tuple:
         """One step of backward search.
@@ -242,15 +257,14 @@ class NextPointerArray:
         Given the row range ``[low, high)`` of suffixes starting with a
         pattern ``P``, return the row range of suffixes starting with
         ``char + P``. Relies on the NPA being strictly increasing within
-        each character bucket.
+        each character bucket. Both bounds come from one two-needle
+        ``searchsorted`` on the bucket's NPA slice.
         """
-        start, end = self.bucket_range(char)
+        start, end = self._bucket_table[char]
         if start == end:
             return (0, 0)
-        segment = self._npa[start:end]
-        new_low = start + int(np.searchsorted(segment, low, side="left"))
-        new_high = start + int(np.searchsorted(segment, high, side="left"))
-        return (new_low, new_high)
+        new_low, new_high = self._npa[start:end].searchsorted((low, high)).tolist()
+        return (start + new_low, start + new_high)
 
     def serialized_size_bytes(self, anchor_every: int = 128) -> int:
         """Size of the two-level delta-encoded NPA plus bucket directory."""

@@ -184,14 +184,22 @@ class SuccinctFile:
 
     # zipg: scalar-ok  (the scalar primitive the batched kernels amortize)
     def _lookup_sa(self, row: int) -> int:
-        """SA value of ``row`` via NPA walk to the nearest sampled row."""
+        """SA value of ``row`` via NPA walk to the nearest sampled row.
+
+        Marks and rank come from the bitmap's Python-int word lists, so
+        each hop is a list index and an int shift, not a numpy call.
+        """
+        blocks, rank_prefix = self._sampled_row_marks.word_lists()
+        npa_list = self._npa._npa_list
         steps = 0
         current = row
-        while not self._sampled_row_marks[current]:
-            current = self._npa[current]
+        while not (blocks[current >> 6] >> (current & 63)) & 1:
+            current = npa_list[current]
             steps += 1
         self.stats.npa_hops += steps
-        rank = self._sampled_row_marks.rank1(current)
+        block = current >> 6
+        below = blocks[block] & ((1 << (current & 63)) - 1)
+        rank = rank_prefix[block] + bin(below).count("1")
         value = int(self._sa_samples[rank])
         return (value - steps) % self._n
 

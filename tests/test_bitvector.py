@@ -97,3 +97,39 @@ class TestRankSelect:
     def test_serialized_size(self):
         assert BitVector(64).serialized_size_bytes() == 8
         assert BitVector(65).serialized_size_bytes() == 16
+
+
+class TestRangeReads:
+    @pytest.mark.parametrize("size", [1, 63, 64, 65, 200])
+    def test_count_and_get_range_match_bits(self, size):
+        rng = np.random.default_rng(size)
+        members = set(rng.choice(size, size=max(1, size // 3), replace=False).tolist())
+        vec = BitVector.from_indices(size, sorted(members))
+        bounds = sorted({0, 1, 62, 63, 64, 65, 127, 128, size - 1, size} & set(range(size + 1)))
+        for start in bounds:
+            for end in bounds:
+                if end < start:
+                    continue
+                expected = [i in members for i in range(start, end)]
+                assert vec.count_range(start, end) == sum(expected)
+                assert vec.get_range(start, end).tolist() == expected
+
+    def test_range_out_of_bounds(self):
+        vec = BitVector(10)
+        with pytest.raises(IndexError):
+            vec.count_range(0, 11)
+        with pytest.raises(IndexError):
+            vec.count_range(5, 4)
+        with pytest.raises(IndexError):
+            vec.get_range(-1, 3)
+
+    def test_word_lists_track_mutation(self):
+        vec = BitVector(130)
+        vec.set(64)
+        blocks, ranks = vec.word_lists()
+        assert blocks == [0, 1, 0] and ranks == [0, 0, 1, 1]
+        vec.set(129)
+        blocks, ranks = vec.word_lists()
+        assert blocks == [0, 1, 2] and ranks == [0, 0, 1, 2]
+        vec.clear(64)
+        assert vec.word_lists() == ([0, 0, 2], [0, 0, 0, 1])

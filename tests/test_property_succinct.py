@@ -41,26 +41,58 @@ def test_extract_arbitrary_window(text, alpha, data):
     assert sf.extract(offset, length) == text[offset : offset + length]
 
 
-@settings(max_examples=hypothesis_examples(60), deadline=None)
-@given(text=nonempty_text, alpha=st.integers(min_value=1, max_value=16), data=st.data())
-def test_search_equals_naive(text, alpha, data):
-    sf = SuccinctFile(text, alpha=alpha)
-    # Mix patterns drawn from the text (guaranteed hits) and random ones.
-    if data.draw(st.booleans()):
-        start = data.draw(st.integers(min_value=0, max_value=len(text) - 1))
-        end = data.draw(st.integers(min_value=start + 1, max_value=len(text)))
-        pattern = text[start:end]
-    else:
-        pattern = data.draw(st.binary(min_size=1, max_size=5).map(
-            lambda b: bytes(x or 1 for x in b)
-        ))
+def _reloaded_read_only(sf):
+    """``sf`` reloaded the way an mmap-backed shard is: every array an
+    ``np.frombuffer`` view over a read-only buffer."""
+    reloaded = SuccinctFile.from_bytes(memoryview(sf.to_bytes()).toreadonly())
+    npa, _, _ = reloaded._npa.arrays_for_write()
+    assert not npa.flags.writeable
+    return reloaded
+
+
+def _naive_offsets(text, pattern):
     expected = []
     index = text.find(pattern)
     while index >= 0:
         expected.append(index)
         index = text.find(pattern, index + 1)
-    assert sf.search(pattern).tolist() == expected
-    assert sf.count(pattern) == len(expected)
+    return expected
+
+
+def _draw_pattern(text, data):
+    kind = data.draw(
+        st.sampled_from(["substring", "random", "absent", "xff", "first", "last"])
+    )
+    if kind == "substring":  # guaranteed hit
+        start = data.draw(st.integers(min_value=0, max_value=len(text) - 1))
+        end = data.draw(st.integers(min_value=start + 1, max_value=len(text)))
+        return text[start:end]
+    if kind == "random":
+        return data.draw(st.binary(min_size=1, max_size=5).map(
+            lambda b: bytes(x or 1 for x in b)
+        ))
+    # A byte with no bucket: alone, last (the first backward-search
+    # step) or first (a refine step after hits).
+    if kind == "absent":
+        missing = [x for x in range(1, 256) if x not in text]
+        byte = bytes([data.draw(st.sampled_from(missing))])
+        prefix = text[: data.draw(st.integers(min_value=0, max_value=2))]
+        return data.draw(st.sampled_from([byte, prefix + byte, byte + prefix]))
+    if kind == "xff":  # the last entry of the 256-entry bucket table
+        return data.draw(st.sampled_from([b"\xff", text[:1] + b"\xff", b"\xff" + text[-1:]]))
+    # One-byte patterns on the first and the last bucket of the text.
+    return bytes([min(text) if kind == "first" else max(text)])
+
+
+@settings(max_examples=hypothesis_examples(60), deadline=None)
+@given(text=nonempty_text, alpha=st.integers(min_value=1, max_value=16), data=st.data())
+def test_search_equals_naive(text, alpha, data):
+    sf = SuccinctFile(text, alpha=alpha)
+    pattern = _draw_pattern(text, data)
+    expected = _naive_offsets(text, pattern)
+    for queried in (sf, _reloaded_read_only(sf)):
+        assert queried.search(pattern).tolist() == expected
+        assert queried.count(pattern) == len(expected)
 
 
 @settings(max_examples=hypothesis_examples(60), deadline=None)

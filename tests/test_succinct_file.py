@@ -1,9 +1,12 @@
 """Unit tests for the Succinct flat-file store."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from repro.succinct import SuccinctFile
+from repro.succinct import SuccinctFile, build_suffix_array
 
 
 def naive_search(data: bytes, pattern: bytes):
@@ -119,6 +122,64 @@ class TestSearch:
         sf = SuccinctFile(text, alpha=2)
         assert list(sf.search(b"abc")) == naive_search(text, b"abc")
         assert list(sf.search(b"cab")) == naive_search(text, b"cab")
+
+
+class TestLookupSA:
+    """The scalar SA lookup behind small-result ``search``."""
+
+    @pytest.mark.parametrize("alpha", [1, 2, 32])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_row_matches_suffix_array(self, alpha, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 150))
+        text = rng.integers(1, 6 if seed % 2 else 256, size).astype(np.uint8).tobytes()
+        sf = SuccinctFile(text, alpha=alpha)
+        suffix_array = build_suffix_array(text + b"\x00").tolist()
+        n = len(suffix_array)
+        for row, value in enumerate(suffix_array):
+            before = sf.stats.npa_hops
+            assert sf._lookup_sa(row) == value
+            # Value-based sampling: walk forward to the next multiple
+            # of alpha, or to the wrap-around at the sentinel's row.
+            assert sf.stats.npa_hops - before == min(-value % alpha, n - value)
+
+    def test_reloaded_read_only_file(self):
+        text = b"abracadabra" * 20
+        original = SuccinctFile(text, alpha=8)
+        reloaded = SuccinctFile.from_bytes(memoryview(original.to_bytes()).toreadonly())
+        for row in range(len(text) + 1):
+            assert reloaded._lookup_sa(row) == original._lookup_sa(row)
+        assert reloaded.stats.npa_hops == original.stats.npa_hops
+
+
+    def test_concurrent_first_queries(self, sample_text):
+        """Threads racing to build the lazy query tables (bucket table,
+        marks mirror, NPA list) on a fresh file all get exact answers."""
+        patterns = [sample_text[i : i + k] for i in range(0, 40, 3) for k in (1, 3, 6)]
+        expected = {pattern: naive_search(sample_text, pattern) for pattern in patterns}
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                sf = SuccinctFile(sample_text, alpha=4)
+                barrier = threading.Barrier(8)
+                wrong = []
+
+                def worker(sf=sf, barrier=barrier, wrong=wrong):
+                    barrier.wait(timeout=10)
+                    for pattern in patterns:
+                        if sf.search(pattern).tolist() != expected[pattern]:
+                            wrong.append(pattern)
+
+                threads = [threading.Thread(target=worker) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                assert wrong == []
+        finally:
+            sys.setswitchinterval(previous)
 
 
 class TestAlphaTradeoff:
