@@ -16,9 +16,9 @@ which.  The request pipeline, per call:
    coroutines drain the queues round-robin across tenants, so one hot
    tenant's backlog cannot starve another's single request;
 4. **batch** -- identical in-flight reads coalesce: one leader issues
-   the backend call, riders await its result without holding a
-   dispatcher slot (the async face of the executor's ``map_shared``
-   and the store's :class:`~repro.perf.coalesce.BatchCoalescer`);
+   the backend call, riders await its future without holding a
+   dispatcher slot (the asyncio face of
+   :class:`~repro.perf.coalesce.SingleFlight`);
 5. **dispatch** -- chaos site ``gateway.dispatch``, then
    ``asyncio.wrap_future(backend.submit(...))``.  Reads flagged for
    degradation go out with ``partial_results=True`` instead of
@@ -67,16 +67,6 @@ class GatewayConfig:
     dispatchers: int = 8
 
 
-class _Flight:
-    """One in-flight backend call that identical reads ride on."""
-
-    __slots__ = ("future", "riders")
-
-    def __init__(self, future: "asyncio.Future") -> None:
-        self.future = future
-        self.riders = 0
-
-
 class GatewayService:
     """Admission-controlled async front door over a submission backend.
 
@@ -105,7 +95,8 @@ class GatewayService:
         # loop (3.9's asyncio primitives capture a loop at construction).
         self._wake: Optional["asyncio.Event"] = None
         self._dispatchers: List["asyncio.Task"] = []
-        self._read_flights: Dict[Tuple[object, ...], _Flight] = {}
+        # Identical in-flight reads -> the leader's backend future.
+        self._read_flights: Dict[Tuple[object, ...], "asyncio.Future"] = {}
         self._inflight = 0
         self._draining = False
         self._started = False
@@ -301,13 +292,12 @@ class GatewayService:
                 # Ride the leader's in-flight call: no second backend
                 # submission, and this dispatcher slot frees up as
                 # soon as the await parks.
-                flight.riders += 1
                 obs.counter(
                     "zipg_gateway_batched_total",
                     help="reads coalesced onto an identical in-flight call",
                     labels={"tenant": tenant},
                 ).inc()
-                return await asyncio.shield(flight.future)
+                return await asyncio.shield(flight)
         self._inflight += 1
         try:
             awaitable = asyncio.wrap_future(
@@ -315,10 +305,10 @@ class GatewayService:
             )
             if key is None:
                 return await awaitable
-            flight = _Flight(asyncio.ensure_future(awaitable))
+            flight = asyncio.ensure_future(awaitable)
             self._read_flights[key] = flight
             try:
-                return await asyncio.shield(flight.future)
+                return await asyncio.shield(flight)
             finally:
                 self._read_flights.pop(key, None)
         finally:

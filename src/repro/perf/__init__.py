@@ -9,19 +9,16 @@ spends a small, strictly byte-accounted slice of the budget to make
 those hot reads cheap without touching the memory-efficiency story:
 
 * :class:`~repro.perf.cache.HotSetCache` -- a thread-safe segmented-LRU
-  cache with a byte budget (:class:`~repro.perf.cache.CacheBudget`),
-  per-entry byte accounting, and ``zipg_cache_*`` metrics published
-  through :mod:`repro.obs`.
+  cache with a byte budget, per-entry byte accounting, and
+  ``zipg_cache_*`` metrics published through :mod:`repro.obs`.
 * :class:`~repro.perf.epoch.Epoch` -- the monotone counters every
   shard, the LogStore, and the store itself carry. Cache keys embed
   the epoch, so a mutation invalidates in O(1) (the stale generation
   simply becomes unreachable garbage the LRU evicts) -- never a key
   scan.
-* :mod:`~repro.perf.coalesce` -- single-flight request sharing
-  (:class:`~repro.perf.coalesce.SingleFlight`) and short-window batch
-  coalescing (:class:`~repro.perf.coalesce.BatchCoalescer`) so
-  concurrent identical queries execute once and concurrent extracts
-  collapse into one batched-NPA kernel call.
+* :class:`~repro.perf.coalesce.SingleFlight` -- single-flight request
+  sharing, so concurrent identical fan-outs and cache loads execute
+  once.
 
 See ``docs/CACHING.md`` for the budget model and wiring.
 """
@@ -30,17 +27,14 @@ from __future__ import annotations
 
 from repro.perf.cache import (
     ENTRY_OVERHEAD_BYTES,
-    CacheBudget,
     HotSetCache,
     estimate_size,
     new_cache_tag,
 )
-from repro.perf.coalesce import BatchCoalescer, SingleFlight
+from repro.perf.coalesce import SingleFlight
 from repro.perf.epoch import Epoch
 
 __all__ = [
-    "BatchCoalescer",
-    "CacheBudget",
     "ENTRY_OVERHEAD_BYTES",
     "Epoch",
     "HotSetCache",

@@ -8,7 +8,7 @@ envelope (§2); an entry-count cap would let a handful of megabyte
 adjacency lists blow through it. Every entry is charged its estimated
 payload size (:func:`estimate_size`) plus a fixed
 :data:`ENTRY_OVERHEAD_BYTES` for the key, the OrderedDict slot, and the
-bookkeeping tuple. The invariant ``bytes <= budget.total_bytes`` holds
+bookkeeping tuple. The invariant ``bytes <= budget_bytes`` holds
 at every instant the lock is released.
 
 **Segmented LRU.** Two LRU segments (the Secondary-Level Replacement
@@ -16,7 +16,7 @@ policy from the 1994 SLRU paper, as used by memcached and Caffeine):
 new entries land in *probation*; a hit while on probation promotes the
 entry to *protected*. One-touch scan traffic therefore washes through
 probation without displacing the re-referenced hot set sitting in
-protected. Protected is capped at ``protected_fraction`` of the budget;
+protected. Protected is capped at :data:`PROTECTED_FRACTION` of the budget;
 overflow demotes protected-LRU entries back to probation's MRU end
 rather than dropping them.
 
@@ -26,10 +26,12 @@ invalidation. Callers embed a generation counter
 epoch, so stale generations simply stop being referenced and age out
 under budget pressure. O(1) per mutation, no key scans, no TTLs.
 
-**Single-flight loads.** :meth:`HotSetCache.get_or_load` guarantees at
+**Single-flight loads.** :meth:`HotSetCache.get_or_load` runs misses
+through the cache's :class:`~repro.perf.coalesce.SingleFlight`, so at
 most one loader runs per key at a time: concurrent misses on a hot key
-block on the leader's :class:`threading.Event` instead of stampeding
-the compressed store. Loaders run outside the cache lock.
+wait on the leader instead of stampeding the compressed store. The
+leader puts its value before the flight retires, so a later caller
+finds it cached. Loaders run outside the cache lock.
 """
 
 from __future__ import annotations
@@ -44,11 +46,15 @@ from typing import Callable, Dict, Hashable, Optional, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.perf.coalesce import _Flight
+from repro.perf.coalesce import SingleFlight
 
 # Charged per entry on top of the payload estimate: key tuple, two
 # OrderedDict links, and the (value, nbytes) slot.
 ENTRY_OVERHEAD_BYTES = 96
+
+# Share of the budget the protected segment may occupy before its LRU
+# tail is demoted back to probation.
+PROTECTED_FRACTION = 0.8
 
 _MISS = object()
 
@@ -97,40 +103,6 @@ def estimate_size(value: object) -> int:
         return 256
 
 
-class CacheBudget:
-    """A byte budget with a protected-segment cap.
-
-    Args:
-        total_bytes: hard ceiling on cached payload + per-entry
-            overhead. Must be positive.
-        protected_fraction: share of the budget the protected segment
-            may occupy before demoting back to probation.
-    """
-
-    __slots__ = ("total_bytes", "protected_fraction")
-
-    def __init__(
-        self, total_bytes: int, protected_fraction: float = 0.8
-    ) -> None:
-        if total_bytes <= 0:
-            raise ValueError("total_bytes must be positive")
-        if not 0.0 < protected_fraction < 1.0:
-            raise ValueError("protected_fraction must be in (0, 1)")
-        self.total_bytes = int(total_bytes)
-        self.protected_fraction = float(protected_fraction)
-
-    @property
-    def protected_bytes(self) -> int:
-        """Byte cap for the protected segment."""
-        return int(self.total_bytes * self.protected_fraction)
-
-    def __repr__(self) -> str:
-        return (
-            f"CacheBudget(total_bytes={self.total_bytes}, "
-            f"protected_fraction={self.protected_fraction})"
-        )
-
-
 class HotSetCache:
     """Thread-safe segmented-LRU cache under a byte budget.
 
@@ -138,17 +110,17 @@ class HotSetCache:
     callables passed to :meth:`get_or_load` execute outside it.
 
     Args:
-        budget: a :class:`CacheBudget` or a total byte count.
+        budget_bytes: hard ceiling on cached payload + per-entry
+            overhead. Must be positive.
         name: label for the ``zipg_cache_*`` metrics this cache
             publishes through :mod:`repro.obs`.
     """
 
-    def __init__(
-        self, budget: Union[CacheBudget, int], name: str = "store"
-    ) -> None:
-        if isinstance(budget, int):
-            budget = CacheBudget(budget)
-        self.budget = budget
+    def __init__(self, budget_bytes: int, name: str = "store") -> None:
+        if budget_bytes <= 0:
+            raise ValueError("budget_bytes must be positive")
+        self.budget_bytes = int(budget_bytes)
+        self._protected_cap = int(self.budget_bytes * PROTECTED_FRACTION)
         self.name = name
         self._lock = threading.Lock()
         # key -> (value, nbytes); insertion order is LRU order
@@ -157,13 +129,12 @@ class HotSetCache:
         self._probation = OrderedDict()
         self._protected: "OrderedDict[Hashable, Tuple[object, int]]"
         self._protected = OrderedDict()
-        self._flights: Dict[Hashable, _Flight] = {}
+        self._load_flights = SingleFlight()
         self._bytes = 0
         self._protected_bytes = 0
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._coalesced = 0
         _publish_cache_metrics(self)
 
     # -- reads ---------------------------------------------------------
@@ -195,8 +166,7 @@ class HotSetCache:
         # back to probation if the segment overflows.
         self._protected[key] = entry
         self._protected_bytes += entry[1]
-        cap = self.budget.protected_bytes
-        while self._protected_bytes > cap and len(self._protected) > 1:
+        while self._protected_bytes > self._protected_cap and len(self._protected) > 1:
             demoted_key, demoted = self._protected.popitem(last=False)
             self._protected_bytes -= demoted[1]
             self._probation[demoted_key] = demoted
@@ -215,7 +185,7 @@ class HotSetCache:
         if nbytes is None:
             nbytes = estimate_size(value)
         nbytes = int(nbytes) + ENTRY_OVERHEAD_BYTES
-        if nbytes > self.budget.total_bytes:
+        if nbytes > self.budget_bytes:
             return False
         with self._lock:
             self._remove_locked(key)
@@ -234,8 +204,7 @@ class HotSetCache:
             self._bytes -= entry[1]
 
     def _evict_locked(self) -> None:
-        total = self.budget.total_bytes
-        while self._bytes > total:
+        while self._bytes > self.budget_bytes:
             if self._probation:
                 _, entry = self._probation.popitem(last=False)
             elif self._protected:
@@ -256,45 +225,31 @@ class HotSetCache:
         """Return the cached value, loading (once) on a miss.
 
         Concurrent callers missing on the same key share one loader
-        execution: the first becomes the leader, the rest block on its
-        completion and receive the same object. Loader exceptions --
+        execution: the first becomes the leader, the rest wait on its
+        flight and receive the same object. Loader exceptions --
         including :class:`BaseException` crash faults -- propagate to
         every waiter and cache nothing.
         """
-        while True:
+        with self._lock:
+            value = self._get_locked(key)
+            if value is not _MISS:
+                self._hits += 1
+                return value
+
+        def load() -> object:
+            # Re-check inside the flight: a leader that retired between
+            # the lookup above and joining has already put its value.
             with self._lock:
                 value = self._get_locked(key)
                 if value is not _MISS:
                     self._hits += 1
                     return value
-                flight = self._flights.get(key)
-                leader = flight is None
-                if leader:
-                    self._misses += 1
-                    flight = _Flight()
-                    self._flights[key] = flight
-                else:
-                    self._coalesced += 1
-            if leader:
-                break
-            flight.event.wait()
-            if flight.error is not None:
-                raise flight.error
-            return flight.value
-        try:
+                self._misses += 1
             value = loader()
-            flight.value = value
-        except BaseException as exc:
-            flight.error = exc
-            raise
-        finally:
-            # Unpublish before waking waiters so post-completion
-            # callers re-enter via the cache, not a dead flight.
-            with self._lock:
-                self._flights.pop(key, None)
-            flight.event.set()
-        self.put(key, value, nbytes=nbytes)
-        return value
+            self.put(key, value, nbytes=nbytes)
+            return value
+
+        return self._load_flights.do(key, load)
 
     # -- management ----------------------------------------------------
 
@@ -324,10 +279,10 @@ class HotSetCache:
                 "hits": hits,
                 "misses": misses,
                 "evictions": self._evictions,
-                "coalesced_loads": self._coalesced,
+                "coalesced_loads": self._load_flights.shared,
                 "bytes": self._bytes,
                 "entries": len(self._probation) + len(self._protected),
-                "budget_bytes": self.budget.total_bytes,
+                "budget_bytes": self.budget_bytes,
                 "hit_ratio": (hits / lookups) if lookups else 0.0,
             }
 

@@ -56,17 +56,12 @@ class SuccinctFile:
             bits for the samples, lookup latency ~ ``alpha`` hops.
         stats: optional shared :class:`AccessStats` to accumulate into
             (shards owned by one server share a single meter).
-        sa_algorithm: suffix-array builder -- ``"doubling"`` (vectorized
-            prefix doubling, the default) or ``"sais"`` (linear-time
-            SA-IS).
     """
 
-    def __init__(self, data: bytes, alpha: int = 32, stats: Optional[AccessStats] = None,
-                 sa_algorithm: str = "doubling") -> None:
+    def __init__(self, data: bytes, alpha: int = 32,
+                 stats: Optional[AccessStats] = None) -> None:
         if alpha < 1:
             raise ValueError("alpha must be >= 1")
-        if sa_algorithm not in ("doubling", "sais"):
-            raise ValueError("sa_algorithm must be 'doubling' or 'sais'")
         data = bytes(data)  # zipg: owned-copy
         if SENTINEL in data:
             raise ValueError("input data must not contain the sentinel byte 0x00")
@@ -77,12 +72,7 @@ class SuccinctFile:
         text = data + bytes([SENTINEL])
         n = len(text)
         self._n = n
-        if sa_algorithm == "sais":
-            from repro.succinct.sais import build_suffix_array_sais
-
-            suffix_array = build_suffix_array_sais(text)
-        else:
-            suffix_array = build_suffix_array(text)
+        suffix_array = build_suffix_array(text)
         isa = inverse_permutation(suffix_array)
         self._npa = NextPointerArray.from_text(text, suffix_array, isa)
 
@@ -99,7 +89,6 @@ class SuccinctFile:
 
         self._cache = None
         self._cache_epoch_of: Optional[Callable[[], int]] = None
-        self._coalescer = None
         self._cache_tag = new_cache_tag()
 
     # ------------------------------------------------------------------
@@ -110,7 +99,6 @@ class SuccinctFile:
         self,
         cache: "HotSetCache",
         epoch_of: Optional[Callable[[], int]] = None,
-        coalesce_window_s: float = 0.0,
     ) -> None:
         """Front ``extract``/``search`` with a :class:`HotSetCache`.
 
@@ -120,25 +108,13 @@ class SuccinctFile:
                 epoch; embedded in every key so mutations invalidate in
                 O(1). ``None`` pins the epoch to 0 (this file's own
                 structures are immutable).
-            coalesce_window_s: when > 0, concurrent cache-missed
-                extracts are coalesced into one lockstep
-                ``extract_batch`` kernel call.
         """
-        from repro.perf.coalesce import BatchCoalescer
-
         self._cache = cache
         self._cache_epoch_of = epoch_of
-        if coalesce_window_s > 0:
-            self._coalescer = BatchCoalescer(
-                self._extract_batch_kernel, window_s=coalesce_window_s
-            )
-        else:
-            self._coalescer = None
 
     def detach_cache(self) -> None:
         self._cache = None
         self._cache_epoch_of = None
-        self._coalescer = None
 
     def _cache_epoch(self) -> int:
         return self._cache_epoch_of() if self._cache_epoch_of is not None else 0
@@ -270,8 +246,6 @@ class SuccinctFile:
             return b""
         if length <= _SCALAR_EXTRACT_CUTOFF:
             return self._extract_scalar_body(offset, length)
-        if self._coalescer is not None:
-            return self._coalescer.submit((offset, length))
         return self._extract_batched_body(offset, length)
 
     def extract_scalar(self, offset: int, length: int) -> bytes:
@@ -370,12 +344,7 @@ class SuccinctFile:
         """The pre-cache ``extract_batch`` body (lengths already checked)."""
         self.stats.random_accesses += len(clean)
         self.stats.sequential_bytes += sum(length for _, length in clean)
-        return self._extract_batch_kernel(clean)
-
-    def _extract_batch_kernel(self, clean: Sequence[Tuple[int, int]]) -> List[bytes]:
-        """One lockstep walk over every non-empty request (no access
-        accounting: callers meter themselves, so the coalescer can
-        route through here without double counting)."""
+        # One lockstep walk over every non-empty request.
         results: List[bytes] = [b""] * len(clean)
         segments = []
         spans = []  # (result slot, anchor offset in the big row array, head, length)

@@ -12,6 +12,7 @@ the profile name from ``$HYPOTHESIS_PROFILE``:
 from __future__ import annotations
 
 import os
+import time
 
 from hypothesis import settings
 
@@ -21,6 +22,15 @@ _SCALE = {"default": 1, "nightly": 10}
 settings.register_profile("default", deadline=None)
 settings.register_profile("nightly", deadline=None)
 settings.load_profile(_PROFILE)
+
+
+def await_condition(predicate, timeout: float = 5.0) -> None:
+    """Poll ``predicate`` until it holds; fail after ``timeout`` s."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            raise AssertionError("condition not reached in time")
+        time.sleep(0.001)
 
 
 def hypothesis_examples(base: int) -> int:

@@ -1,19 +1,19 @@
-"""Single-flight and batch coalescing (repro.perf.coalesce), the
-executor's shared fan-outs, and the cluster retry/backoff/deadline
-knobs flowing through the coalesced broadcast path."""
+"""Single-flight sharing (repro.perf.coalesce), the executor's shared
+fan-outs, and the cluster retry/backoff/deadline knobs flowing through
+the coalesced broadcast path."""
 
 import threading
-import time
 
 import pytest
 
+from conftest import await_condition
 from repro import chaos
 from repro.chaos import ChaosInjector, FaultInjected, FaultRule
 from repro.cluster.replication import ReplicatedZipGCluster
 from repro.core import GraphData, ZipG
 from repro.core.errors import DeadlineExceeded
 from repro.core.executor import ShardExecutor
-from repro.perf import BatchCoalescer, SingleFlight
+from repro.perf import SingleFlight
 
 
 @pytest.fixture(autouse=True)
@@ -31,14 +31,6 @@ def build_store():
     graph.add_edge(1, 3, 0, 200)
     return ZipG.compress(graph, num_shards=2, alpha=4,
                          logstore_threshold_bytes=1 << 20)
-
-
-def _await(predicate, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        if time.monotonic() > deadline:
-            raise AssertionError("condition not reached in time")
-        time.sleep(0.001)
 
 
 # ----------------------------------------------------------------------
@@ -66,7 +58,7 @@ class TestSingleFlight:
         ]
         for thread in threads:
             thread.start()
-        _await(lambda: flights.shared == 3)
+        await_condition(lambda: flights.shared == 3)
         release.set()
         for thread in threads:
             thread.join(5)
@@ -103,7 +95,7 @@ class TestSingleFlight:
         assert entered.wait(5)
         follower = threading.Thread(target=call)
         follower.start()
-        _await(lambda: flights.shared == 1)
+        await_condition(lambda: flights.shared == 1)
         release.set()
         leader.join(5)
         follower.join(5)
@@ -125,70 +117,11 @@ class TestSingleFlight:
         assert entered.wait(5)
         follower = threading.Thread(target=lambda: flights.do("k", fn))
         follower.start()
-        _await(lambda: flights.shared == 1)
+        await_condition(lambda: flights.shared == 1)
         release.set()
         leader.join(5)
         follower.join(5)
         assert len(shared_calls) == 1
-
-
-# ----------------------------------------------------------------------
-# BatchCoalescer
-# ----------------------------------------------------------------------
-
-
-class TestBatchCoalescer:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BatchCoalescer(lambda reqs: reqs, window_s=-0.1)
-        with pytest.raises(ValueError):
-            BatchCoalescer(lambda reqs: reqs, max_batch=0)
-
-    def test_single_submit_routes_through_batch_fn(self):
-        batches = []
-
-        def batch_fn(requests):
-            batches.append(list(requests))
-            return [r * 2 for r in requests]
-
-        coalescer = BatchCoalescer(batch_fn, window_s=0.0)
-        assert coalescer.submit(21) == 42
-        assert batches == [[21]]
-
-    def test_concurrent_submits_coalesce_into_one_batch(self):
-        batches = []
-
-        def batch_fn(requests):
-            batches.append(list(requests))
-            return [r * 2 for r in requests]
-
-        coalescer = BatchCoalescer(batch_fn, window_s=0.25)
-        results = {}
-
-        def submit(value):
-            results[value] = coalescer.submit(value)
-
-        leader = threading.Thread(target=submit, args=(1,))
-        leader.start()
-        _await(lambda: coalescer._open is not None)  # window open
-        followers = [threading.Thread(target=submit, args=(v,))
-                     for v in (2, 3)]
-        for thread in followers:
-            thread.start()
-        _await(lambda: coalescer._coalesced == 2)
-        leader.join(5)
-        for thread in followers:
-            thread.join(5)
-        assert len(batches) == 1 and sorted(batches[0]) == [1, 2, 3]
-        assert results == {1: 2, 2: 4, 3: 6}  # per-slot routing
-
-    def test_batch_error_propagates_to_every_submitter(self):
-        def batch_fn(requests):
-            raise FaultInjected("kernel failed")
-
-        coalescer = BatchCoalescer(batch_fn, window_s=0.0)
-        with pytest.raises(FaultInjected):
-            coalescer.submit(1)
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +156,7 @@ class TestMapShared:
         assert entered.wait(5)
         follower = threading.Thread(target=call, args=(1,))
         follower.start()
-        _await(lambda: executor._fanout_flights.shared == 1)
+        await_condition(lambda: executor._fanout_flights.shared == 1)
         release.set()
         leader.join(5)
         follower.join(5)

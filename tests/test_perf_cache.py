@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import chaos_seeds
+from conftest import await_condition, chaos_seeds
 from repro import chaos, obs
 from repro.chaos import ChaosInjector, FaultRule, SimulatedCrash
 from repro.cluster.replication import ReplicatedZipGCluster
@@ -16,11 +16,11 @@ from repro.core import GraphData, ZipG
 from repro.core.persistence import attach_wal, load_store, save_store
 from repro.perf import (
     ENTRY_OVERHEAD_BYTES,
-    CacheBudget,
     Epoch,
     HotSetCache,
     estimate_size,
 )
+from repro.perf.cache import PROTECTED_FRACTION
 
 #: put() charges estimate_size(payload) + ENTRY_OVERHEAD_BYTES; a
 #: 52-byte bytes payload estimates to 100, so one entry costs 196.
@@ -56,16 +56,19 @@ def build_store(**kwargs):
 class TestCacheBudget:
     def test_validation(self):
         with pytest.raises(ValueError):
-            CacheBudget(0)
+            HotSetCache(0)
         with pytest.raises(ValueError):
-            CacheBudget(-5)
-        with pytest.raises(ValueError):
-            CacheBudget(100, protected_fraction=0.0)
-        with pytest.raises(ValueError):
-            CacheBudget(100, protected_fraction=1.0)
+            HotSetCache(-5)
 
     def test_protected_bytes(self):
-        assert CacheBudget(1000, protected_fraction=0.8).protected_bytes == 800
+        # Promote every entry: protected stays under its 0.8 share and
+        # demotes its LRU tail back to probation instead of dropping it.
+        cache = HotSetCache(10 * _ENTRY)
+        for i in range(10):
+            cache.put(i, _PAYLOAD)
+            assert cache.get(i)[0]
+        assert cache._protected_bytes <= PROTECTED_FRACTION * cache.budget_bytes
+        assert len(cache) == 10
 
 
 class TestEstimateSize:
@@ -135,7 +138,7 @@ class TestHotSetCache:
     def test_rereferenced_entry_survives_scan(self):
         # A promoted (twice-touched) entry must outlive a one-touch
         # scan that is much larger than the whole budget.
-        cache = HotSetCache(CacheBudget(10 * _ENTRY, protected_fraction=0.5))
+        cache = HotSetCache(10 * _ENTRY)
         cache.put("hot", _PAYLOAD)
         assert cache.get("hot")[0]  # promote to protected
         for i in range(100):
@@ -152,13 +155,11 @@ class TestHotSetCache:
 
     def test_get_or_load_single_flight(self):
         cache = HotSetCache(1 << 20)
-        started = threading.Event()
         release = threading.Event()
         calls = []
 
         def loader():
             calls.append(1)
-            started.set()
             release.wait(5)
             return "value"
 
@@ -171,12 +172,48 @@ class TestHotSetCache:
         ]
         for thread in threads:
             thread.start()
-        assert started.wait(5)
+        # Release the leader only once all four followers have joined.
+        await_condition(lambda: cache.stats()["coalesced_loads"] == 4)
         release.set()
         for thread in threads:
             thread.join(5)
         assert results == ["value"] * 5
         assert len(calls) == 1  # one loader execution for 5 callers
+        snap = cache.stats()
+        assert (snap["misses"], snap["coalesced_loads"], snap["hits"]) == (1, 4, 0)
+        assert cache.get_or_load("k", loader) == "value"  # now a plain hit
+        assert len(calls) == 1 and cache.stats()["hits"] == 1
+
+    def test_get_or_load_concurrent_error_reaches_every_follower(self):
+        cache = HotSetCache(1 << 20)
+        release = threading.Event()
+        calls = []
+
+        def failing():
+            calls.append(1)
+            release.wait(5)
+            raise RuntimeError("boom")
+
+        errors = []
+
+        def call():
+            try:
+                cache.get_or_load("k", failing)
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=call) for _ in range(5)]
+        for thread in threads:
+            thread.start()
+        await_condition(lambda: cache.stats()["coalesced_loads"] == 4)
+        release.set()
+        for thread in threads:
+            thread.join(5)
+        assert len(calls) == 1
+        assert len(errors) == 5 and all(exc is errors[0] for exc in errors)
+        assert len(cache) == 0  # nothing cached
+        assert cache.get_or_load("k", lambda: calls.append(1) or "v") == "v"
+        assert len(calls) == 2  # the next call runs a loader again
 
     def test_get_or_load_propagates_loader_errors(self):
         cache = HotSetCache(1 << 16)

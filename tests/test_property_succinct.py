@@ -104,6 +104,14 @@ def test_suffix_array_sorts_suffixes(text):
     assert sorted(sa.tolist()) == list(range(len(text)))
 
 
+@settings(max_examples=hypothesis_examples(80), deadline=None)
+@given(data=st.binary(max_size=150))
+def test_suffix_array_matches_naive_sort(data):
+    # Any bytes, the sentinel 0x00 and the empty string included.
+    naive = sorted(range(len(data)), key=lambda i: data[i:])
+    assert build_suffix_array(data).tolist() == naive
+
+
 @settings(max_examples=hypothesis_examples(60), deadline=None)
 @given(text=nonempty_text)
 def test_isa_inverts_sa(text):

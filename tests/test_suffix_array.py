@@ -22,6 +22,8 @@ class TestSuffixArray:
             b"ba",
             b"the quick brown fox",
             bytes(range(1, 256)),
+            b"abab" * 40 + b"aab" * 30,  # long repeats: many doubling rounds
+            pytest.param(b"", id="empty"),
         ],
     )
     def test_matches_naive(self, text):
@@ -35,6 +37,12 @@ class TestSuffixArray:
         for _ in range(10):
             length = int(rng.integers(1, 200))
             text = bytes(rng.integers(1, 5, length, dtype=np.uint8))  # tiny alphabet
+            assert build_suffix_array(text).tolist() == naive_suffix_array(text)
+
+    def test_random_small_alphabet(self):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            text = bytes(rng.integers(1, 4, int(rng.integers(1, 120)), dtype=np.uint8))
             assert build_suffix_array(text).tolist() == naive_suffix_array(text)
 
     def test_is_permutation(self):
