@@ -244,3 +244,58 @@ def test_micro_find_record_vs_extract_artifact():
         },
         gate={"micro.find_record_vs_extract48": (ratio, "lower_better")},
     )
+
+
+def test_micro_edge_range_per_edge_over_batched_artifact():
+    """Self-timed: a loop of ``edge_data_at`` calls over a 10-edge
+    TimeOrder range, over one ``edge_data_range`` read of the same
+    range (Algorithm 1's assoc_range read, §3.4).
+
+    The EdgeFile holds every record of ``linkbench-small`` at alpha 32.
+    The range read makes one lockstep walk for the timestamps,
+    destinations and length fields plus one for the payload, where the
+    loop makes two per edge; a return to per-edge walks shows up as a
+    drop in this ratio.
+    """
+    graph = build_dataset("linkbench-small")
+    edges = {
+        (source, edge_type): graph.edges_of(source, edge_type)
+        for source in graph.node_ids()
+        for edge_type in graph.edge_types_of(source)
+    }
+    edge_file = EdgeFile(edges, DelimiterMap(graph.all_property_ids()), alpha=32)
+    span = 10
+    fragments = [
+        edge_file.find_record(*key) for key in sorted(edges) if len(edges[key]) >= span
+    ][:20]
+    assert len(fragments) == 20
+    ranges = [(fragment, fragment.edge_count - span) for fragment in fragments]
+    for fragment, begin in ranges:
+        assert fragment.edge_data_range(begin, begin + span) == [
+            fragment.edge_data_at(i) for i in range(begin, begin + span)
+        ]
+
+    per_edge = _best(
+        lambda: [
+            [fragment.edge_data_at(i) for i in range(begin, begin + span)]
+            for fragment, begin in ranges
+        ],
+        repeats=5,
+    )
+    batched = _best(
+        lambda: [
+            fragment.edge_data_range(begin, begin + span) for fragment, begin in ranges
+        ],
+        repeats=5,
+    )
+    ratio = per_edge / batched
+    record_bench(
+        "micro_succinct",
+        result={
+            "edge_range_per_edge_seconds": per_edge / len(ranges),
+            "edge_range_batched_seconds": batched / len(ranges),
+            "edge_range_per_edge_over_batched": ratio,
+        },
+        gate={"micro.edge_range_per_edge_over_batched": (ratio, "higher_better")},
+    )
+    assert ratio > 1.0

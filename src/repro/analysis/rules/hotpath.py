@@ -34,10 +34,10 @@ SCALAR_KERNELS = frozenset(
 BATCHED_ALTERNATIVES: Dict[str, str] = {
     "extract": "extract_batch",
     "extract_until": "extract_batch with explicit lengths",
-    "timestamp_at": "all_timestamps / walk_collect",
-    "destination_at": "all_destinations / walk_collect",
-    "properties_at": "all_properties",
-    "edge_data_at": "walk_collect",
+    "timestamp_at": "timestamps_and_destinations / edge_data_range",
+    "destination_at": "all_destinations / edge_data_range",
+    "properties_at": "properties_range",
+    "edge_data_at": "edge_data_range",
 }
 
 

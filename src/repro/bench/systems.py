@@ -3,8 +3,8 @@
 :class:`ZipGSystem` implements the evaluation interface *on the ZipG
 API* exactly the way §4.2 does: ``assoc_range`` is Algorithm 1,
 ``assoc_get``/``assoc_time_range`` are Algorithms 2/3 -- each a handful
-of lines over ``get_edge_record`` / ``get_time_range`` /
-``get_edge_data``.
+of lines over ``get_edge_record`` / ``get_edge_range`` and one
+``EdgeRecord.data_range`` read of the TimeOrder range.
 """
 
 from __future__ import annotations
@@ -80,10 +80,7 @@ class ZipGSystem(GraphStoreInterface):
         # Algorithm 1: assoc_range(id, atype, idx, limit).
         record = self.store.get_edge_record(node_id, edge_type)
         end = record.edge_count if limit is None else min(record.edge_count, start_index + limit)
-        return [
-            self.store.get_edge_data(record, i, with_properties)
-            for i in range(start_index, end)
-        ]
+        return record.data_range(start_index, end, with_properties)
 
     def edges_in_time_range(
         self,
@@ -99,10 +96,7 @@ class ZipGSystem(GraphStoreInterface):
         begin, end = self.store.get_edge_range(record, t_low, t_high)
         if limit is not None:
             end = min(end, begin + limit)
-        return [
-            self.store.get_edge_data(record, i, with_properties)
-            for i in range(begin, end)
-        ]
+        return record.data_range(begin, end, with_properties)
 
     def assoc_get(
         self,
@@ -115,12 +109,13 @@ class ZipGSystem(GraphStoreInterface):
         # Algorithm 2: assoc_get(id1, atype, id2set, hi, lo).
         record = self.store.get_edge_record(node_id, edge_type)
         begin, end = self.store.get_edge_range(record, t_low, t_high)
-        results = []
-        for i in range(begin, end):
-            entry = self.store.get_edge_data(record, i)
-            if entry.destination in id2_set:
-                results.append(entry)
-        return results
+        # Filter on destination first; decode properties only for hits.
+        candidates = record.data_range(begin, end, with_properties=False)
+        return [
+            record.data_at(time_order)
+            for time_order, entry in enumerate(candidates, begin)
+            if entry.destination in id2_set
+        ]
 
     # -- updates ----------------------------------------------------------
 

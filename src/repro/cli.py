@@ -42,6 +42,7 @@ master's LSN-stamped ``apply_write`` replication stream.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from typing import List, Optional
 
@@ -307,8 +308,14 @@ def _parse_shard_address(text: str) -> tuple:
 def _serve(server) -> int:
     """Announce the bound address, then serve until interrupted."""
     host, port = server.address
-    print(f"LISTENING {host} {port}", flush=True)
+    # SIGINT must stop the server even when this process inherited it
+    # ignored (as children of a background job in a non-interactive
+    # shell do); the default handler raises KeyboardInterrupt.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
+        # Announced inside the try: a SIGINT sent the moment the line
+        # is read still takes the clean-shutdown path.
+        print(f"LISTENING {host} {port}", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         pass  # clean shutdown on ^C

@@ -21,7 +21,8 @@ Reserved control bytes (never assigned as property delimiters):
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+import re
+from typing import Dict, Iterable, List, Tuple
 
 from repro.core.errors import GraphFormatError, TooManyProperties
 
@@ -79,6 +80,13 @@ class DelimiterMap:
             else:
                 self._delimiters.append(bytes([_POOL[index]]))
         self._order: Dict[str, int] = {pid: i for i, pid in enumerate(ordered)}
+        self._by_delimiter: Dict[bytes, str] = dict(zip(self._delimiters, ordered))
+        # A delimiter is up to ``delimiter_width`` control bytes (fewer
+        # only when truncated, which then fails the lookup); its value
+        # runs to the next control byte.
+        self._sparse_pattern = re.compile(
+            rb"([\x00-\x1f]{1,%d})([^\x00-\x1f]*)" % self.delimiter_width
+        )
 
     def __len__(self) -> int:
         return len(self._ordered)
@@ -162,34 +170,19 @@ class DelimiterMap:
         return bytes(payload)
 
     def parse_sparse(self, payload: bytes) -> Dict[str, str]:
-        """Invert :meth:`serialize_sparse`."""
-        width = self.delimiter_width
-        result: Dict[str, str] = {}
-        position = 0
-        current: Optional[str] = None
-        value_start = 0
-        while position < len(payload):
-            if payload[position] < MIN_VALUE_BYTE:
-                if current is not None:
-                    result[current] = payload[value_start:position].decode("utf-8")
-                delimiter = bytes(payload[position : position + width])
-                current = self._property_for_delimiter(delimiter)
-                position += width
-                value_start = position
-            else:
-                position += 1
-        if current is not None:
-            result[current] = payload[value_start:position].decode("utf-8")
-        return result
+        """Invert :meth:`serialize_sparse`.
 
-    def _property_for_delimiter(self, delimiter: bytes) -> str:
-        if self._two_byte:
-            index = _POOL.index(delimiter[0]) * len(_POOL) + _POOL.index(delimiter[1])
-        else:
-            index = _POOL.index(delimiter[0])
-        if index >= len(self._ordered):
-            raise GraphFormatError(f"unassigned delimiter {delimiter!r}")
-        return self._ordered[index]
+        One regex pass splits the payload into (delimiter, value) pairs;
+        a dict maps each delimiter to its PropertyID.
+        """
+        by_delimiter = self._by_delimiter
+        result: Dict[str, str] = {}
+        for delimiter, value in self._sparse_pattern.findall(payload):
+            property_id = by_delimiter.get(delimiter)
+            if property_id is None:
+                raise GraphFormatError(f"unassigned delimiter {delimiter!r}")
+            result[property_id] = value.decode("utf-8")
+        return result
 
     def serialized_size_bytes(self) -> int:
         """Footprint of the PropertyID -> (order, delimiter) map itself."""

@@ -40,7 +40,7 @@ from repro.core.delimiters import (
     DelimiterMap,
 )
 from repro.core.errors import EdgeRecordNotFound
-from repro.core.model import Edge, EdgeData
+from repro.core.model import Edge, EdgeData, check_time_order_range
 from repro.succinct.stats import AccessStats
 
 if TYPE_CHECKING:
@@ -112,61 +112,84 @@ class EdgeRecordFragment:
         return int(raw)
 
     def properties_at(self, time_order: int) -> Dict[str, str]:
-        self._check_order(time_order)
-        # One extract for the length fields 0..time_order (their sum is
-        # the property payload offset), one for the payload itself.
-        raw = self.edge_file._file.extract(
-            self.plens_offset, (time_order + 1) * self.plen_width
-        )
-        lengths = [
-            int(raw[k * self.plen_width : (k + 1) * self.plen_width])
-            for k in range(time_order + 1)
-        ]
-        payload = self.edge_file._file.extract(
-            self.properties_offset + sum(lengths[:-1]), lengths[-1]
-        )
-        return self.edge_file._delimiters.parse_sparse(payload)
+        return self.properties_range(time_order, time_order + 1)[0]
 
     def edge_data_at(self, time_order: int, with_properties: bool = True) -> EdgeData:
-        """The (destination, timestamp, PropertyList) triplet (§2.2).
+        """The (destination, timestamp, PropertyList) triplet (§2.2)."""
+        return self.edge_data_range(time_order, time_order + 1, with_properties)[0]
 
-        The timestamp, destination and property-length fields are pulled
-        through one ``extract_batch`` call -- a single lockstep NPA walk
-        per record instead of one walk per field.
+    def edge_data_range(
+        self, begin: int, end: int, with_properties: bool = True
+    ) -> List[EdgeData]:
+        """EdgeData of TimeOrders ``[begin, end)``, equal to
+        ``[edge_data_at(i, with_properties) for i in range(begin, end)]``.
+
+        One ``extract_batch`` reads ``timestamps[begin:end]``,
+        ``destinations[begin:end]`` and the property-length fields
+        ``0..end`` in a single lockstep NPA walk; one ``extract`` reads
+        the contiguous payload of the range (Algorithms 1-3 read a
+        TimeOrder range, §3.4).
         """
-        self._check_order(time_order)
-        file = self.edge_file._file
-        requests = [
-            (
-                self.timestamps_offset + time_order * self.timestamp_width,
-                self.timestamp_width,
-            ),
-            (
-                self.destinations_offset + time_order * self.destination_width,
-                self.destination_width,
-            ),
-        ]
-        if with_properties:
-            requests.append(
-                (self.plens_offset, (time_order + 1) * self.plen_width)
-            )
-            raw_ts, raw_dst, raw_plens = file.extract_batch(requests)
-            lengths = [
-                int(raw_plens[k * self.plen_width : (k + 1) * self.plen_width])
-                for k in range(time_order + 1)
-            ]
-            payload = file.extract(
-                self.properties_offset + sum(lengths[:-1]), lengths[-1]
-            )
-            properties = self.edge_file._delimiters.parse_sparse(payload)
-        else:
-            raw_ts, raw_dst = file.extract_batch(requests)
-            properties = {}
-        return EdgeData(
-            destination=int(raw_dst),
-            timestamp=int(raw_ts),
-            properties=properties,
+        if not check_time_order_range(begin, end, self.edge_count):
+            return []
+        timestamps, destinations, properties = self._read_range(
+            begin, end, True, with_properties
         )
+        if not with_properties:
+            properties = [{} for _ in timestamps]
+        return [
+            EdgeData(destination=d, timestamp=t, properties=p)
+            for t, d, p in zip(timestamps, destinations, properties)
+        ]
+
+    def properties_range(self, begin: int, end: int) -> List[Dict[str, str]]:
+        """Property lists of TimeOrders ``[begin, end)``: one read of
+        the length fields ``0..end`` and one of the range's payload."""
+        if not check_time_order_range(begin, end, self.edge_count):
+            return []
+        return self._read_range(begin, end, False, True)[2]
+
+    def _read_range(
+        self, begin: int, end: int, with_columns: bool, with_properties: bool
+    ) -> Tuple[List[int], List[int], List[Dict[str, str]]]:
+        """Timestamps and destinations (if ``with_columns``) and property
+        lists (if ``with_properties``) of the non-empty ``[begin, end)``;
+        the lists not asked for come back empty."""
+        file = self.edge_file._file
+        count = end - begin
+        twidth, dwidth, pwidth = (
+            self.timestamp_width, self.destination_width, self.plen_width
+        )
+        requests = []
+        if with_columns:
+            requests.append(
+                (self.timestamps_offset + begin * twidth, count * twidth)
+            )
+            requests.append(
+                (self.destinations_offset + begin * dwidth, count * dwidth)
+            )
+        if with_properties:
+            requests.append((self.plens_offset, end * pwidth))
+        raws = file.extract_batch(requests)
+        timestamps: List[int] = []
+        destinations: List[int] = []
+        properties: List[Dict[str, str]] = []
+        if with_columns:
+            timestamps = _split_ints(raws[0], twidth)
+            destinations = _split_ints(raws[1], dwidth)
+        if with_properties:
+            lengths = _split_ints(raws[-1], pwidth)
+            cursor = sum(lengths[:begin])
+            total = sum(lengths[begin:])
+            payload = (
+                file.extract(self.properties_offset + cursor, total) if total else b""
+            )
+            parse = self.edge_file._delimiters.parse_sparse
+            cursor = 0
+            for length in lengths[begin:]:
+                properties.append(parse(payload[cursor : cursor + length]))
+                cursor += length
+        return timestamps, destinations, properties
 
     def time_range(self, t_low: Optional[int], t_high: Optional[int]) -> Tuple[int, int]:
         """TimeOrder range ``[begin, end)`` of edges with timestamp in
@@ -195,46 +218,25 @@ class EdgeRecordFragment:
         raw = self.edge_file._file.extract(
             self.destinations_offset, self.edge_count * self.destination_width
         )
-        width = self.destination_width
-        return [
-            int(raw[k * width : (k + 1) * width]) for k in range(self.edge_count)
-        ]
+        return _split_ints(raw, self.destination_width)
 
-    def all_timestamps(self) -> List[int]:
-        """All timestamps in time order (one sequential extract)."""
+    def timestamps_and_destinations(self) -> Tuple[List[int], List[int]]:
+        """All timestamps and destination IDs in time order. The two
+        blocks are adjacent in the record, so one extract over
+        ``[timestamps_offset, plens_offset)`` reads both."""
         raw = self.edge_file._file.extract(
-            self.timestamps_offset, self.edge_count * self.timestamp_width
+            self.timestamps_offset, self.plens_offset - self.timestamps_offset
         )
-        width = self.timestamp_width
-        return [
-            int(raw[k * width : (k + 1) * width]) for k in range(self.edge_count)
-        ]
-
-    def all_properties(self) -> List[Dict[str, str]]:
-        """Property lists of every edge in time order.
-
-        One extract covers all the length fields and one
-        ``extract_batch`` covers all the payloads -- two lockstep NPA
-        walks for the whole record, versus one pair of walks per edge
-        when calling :meth:`properties_at` in a loop.
-        """
-        if self.edge_count == 0:
-            return []
-        raw = self.edge_file._file.extract(
-            self.plens_offset, self.edge_count * self.plen_width
+        split = self.edge_count * self.timestamp_width
+        return (
+            _split_ints(raw[:split], self.timestamp_width),
+            _split_ints(raw[split:], self.destination_width),
         )
-        width = self.plen_width
-        lengths = [
-            int(raw[k * width : (k + 1) * width]) for k in range(self.edge_count)
-        ]
-        offsets: List[int] = []
-        cursor = self.properties_offset
-        for length in lengths:
-            offsets.append(cursor)
-            cursor += length
-        payloads = self.edge_file._file.extract_batch(list(zip(offsets, lengths)))
-        parse = self.edge_file._delimiters.parse_sparse
-        return [parse(payload) for payload in payloads]
+
+
+def _split_ints(raw: bytes, width: int) -> List[int]:
+    """Decode back-to-back zero-padded decimal fields of ``width``."""
+    return [int(raw[k : k + width]) for k in range(0, len(raw), width)]
 
 
 class EdgeFile:
@@ -517,9 +519,7 @@ class EdgeFile:
             fragment.plens_offset, fragment.edge_count * fragment.plen_width
         )
         cursor = fragment.properties_offset
-        for time_order in range(fragment.edge_count):
-            width = fragment.plen_width
-            length = int(raw[time_order * width : (time_order + 1) * width])
+        for time_order, length in enumerate(_split_ints(raw, fragment.plen_width)):
             if offset < cursor + length:
                 return (fragment, time_order)
             cursor += length

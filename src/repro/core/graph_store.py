@@ -29,7 +29,9 @@ from repro.core.delimiters import DelimiterMap
 from repro.core.errors import NodeNotFound
 from repro.core.executor import ShardExecutor
 from repro.core.logstore import LogStore
-from repro.core.model import Edge, EdgeData, GraphData, PropertyList, WILDCARD
+from repro.core.model import (
+    Edge, EdgeData, GraphData, PropertyList, WILDCARD, check_time_order_range,
+)
 from repro.core.pointers import ACTIVE_LOGSTORE, UpdatePointerTable
 from repro.core.shard import CompressedShard
 from repro.perf.cache import HotSetCache, new_cache_tag
@@ -104,8 +106,7 @@ class EdgeRecord:
         for fragment_index, fragment in enumerate(self.fragments):
             # One batched timestamp/destination read per fragment, not
             # one random access per edge.
-            timestamps = fragment.all_timestamps()
-            destinations = fragment.all_destinations()
+            timestamps, destinations = fragment.timestamps_and_destinations()
             deleted = fragment.deleted_flags()
             for local in range(fragment.edge_count):
                 if not deleted[local]:
@@ -122,11 +123,14 @@ class EdgeRecord:
 
     @property
     def edge_count(self) -> int:
-        """Number of live edges across all fragments."""
-        self._resolve_layout()
-        if self._direct:
-            return self.fragments[0].edge_count
-        return len(self._index)
+        """Number of live edges across all fragments (the EdgeCount
+        metadata less deletions; no fragment merge)."""
+        if self._index is not None:
+            return len(self._index)
+        return sum(
+            fragment.edge_count - fragment.deleted_count()
+            for fragment in self.fragments
+        )
 
     def _locate(self, time_order: int) -> Tuple:
         self._resolve_layout()
@@ -149,8 +153,44 @@ class EdgeRecord:
 
     def data_at(self, time_order: int, with_properties: bool = True) -> EdgeData:
         """The EdgeData triplet of the live edge at ``time_order``."""
-        fragment, local = self._locate(time_order)
-        return fragment.edge_data_at(local, with_properties)
+        return self.data_range(time_order, time_order + 1, with_properties)[0]
+
+    def data_range(
+        self, begin: int, end: int, with_properties: bool = True
+    ) -> List[EdgeData]:
+        """EdgeData of the live edges at TimeOrders ``[begin, end)``,
+        equal to ``[data_at(i, with_properties) for i in range(begin,
+        end)]`` (IndexError when a non-empty range leaves
+        ``[0, edge_count)``).
+
+        One fragment without deletes is read with one range read of
+        that fragment. Otherwise timestamps and destinations come from
+        the merged index, and properties from one ``properties_range``
+        per fragment the range touches.
+        """
+        if begin >= end:
+            return []
+        self._resolve_layout()
+        if self._direct:
+            return self.fragments[0].edge_data_range(begin, end, with_properties)
+        check_time_order_range(begin, end, len(self._index))
+        entries = self._index[begin:end]
+        if not with_properties:
+            return [EdgeData(dst, ts, {}) for ts, dst, _, _ in entries]
+        # Each fragment's local TimeOrders inside the range, as a span.
+        spans: Dict[int, Tuple[int, int]] = {}
+        for _, _, fragment_index, local in entries:
+            low, high = spans.get(fragment_index, (local, local))
+            spans[fragment_index] = (min(low, local), max(high, local))
+        decoded = {
+            fragment_index: (low, self.fragments[fragment_index].properties_range(low, high + 1))
+            for fragment_index, (low, high) in spans.items()
+        }
+        results = []
+        for ts, dst, fragment_index, local in entries:
+            low, properties = decoded[fragment_index]
+            results.append(EdgeData(dst, ts, properties[local - low]))
+        return results
 
     def time_range(
         self, t_low: Optional[int] = None, t_high: Optional[int] = None

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Set, Tuple
 # zipg: cache-backed
 
 from repro import obs
-from repro.core.model import Edge, EdgeData, PropertyList
+from repro.core.model import Edge, EdgeData, PropertyList, check_time_order_range
 from repro.perf.epoch import Epoch
 from repro.succinct.stats import AccessStats
 
@@ -51,17 +51,28 @@ class LogEdgeFragment:
         return self._edges[time_order].destination
 
     def properties_at(self, time_order: int) -> PropertyList:
-        self._store.stats.random_accesses += 1
-        return dict(self._edges[time_order].properties)
+        return self.properties_range(time_order, time_order + 1)[0]
 
     def edge_data_at(self, time_order: int, with_properties: bool = True) -> EdgeData:
-        edge = self._edges[time_order]
+        return self.edge_data_range(time_order, time_order + 1, with_properties)[0]
+
+    def edge_data_range(
+        self, begin: int, end: int, with_properties: bool = True
+    ) -> List[EdgeData]:
+        if not check_time_order_range(begin, end, len(self._edges)):
+            return []
         self._store.stats.random_accesses += 1
-        return EdgeData(
-            destination=edge.destination,
-            timestamp=edge.timestamp,
-            properties=dict(edge.properties) if with_properties else {},
-        )
+        return [
+            EdgeData(
+                destination=edge.destination,
+                timestamp=edge.timestamp,
+                properties=dict(edge.properties) if with_properties else {},
+            )
+            for edge in self._edges[begin:end]
+        ]
+
+    def properties_range(self, begin: int, end: int) -> List[PropertyList]:
+        return [data.properties for data in self.edge_data_range(begin, end)]
 
     def time_range(self, t_low: Optional[int], t_high: Optional[int]) -> Tuple[int, int]:
         timestamps = [edge.timestamp for edge in self._edges]
@@ -75,10 +86,13 @@ class LogEdgeFragment:
         self._store.stats.sequential_bytes += 8 * len(self._edges)
         return [edge.destination for edge in self._edges]
 
-    def all_timestamps(self) -> List[int]:
+    def timestamps_and_destinations(self) -> Tuple[List[int], List[int]]:
         self._store.stats.random_accesses += 1
-        self._store.stats.sequential_bytes += 8 * len(self._edges)
-        return [edge.timestamp for edge in self._edges]
+        self._store.stats.sequential_bytes += 16 * len(self._edges)
+        return (
+            [edge.timestamp for edge in self._edges],
+            [edge.destination for edge in self._edges],
+        )
 
     def deleted_flags(self) -> List[bool]:
         # LogStore deletes are physical (the store is mutable), so a

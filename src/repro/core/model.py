@@ -46,6 +46,21 @@ class EdgeData:
     properties: PropertyList = field(default_factory=dict)
 
 
+def check_time_order_range(begin: int, end: int, count: int) -> bool:
+    """Whether TimeOrders ``[begin, end)`` are a non-empty range of a
+    record with ``count`` edges.
+
+    Raises IndexError when a non-empty range leaves ``[0, count)``, so
+    a range read fails exactly when the per-edge reads it replaces
+    would.
+    """
+    if begin >= end:
+        return False
+    if begin < 0 or end > count:
+        raise IndexError(f"TimeOrders [{begin}, {end}) out of range [0, {count})")
+    return True
+
+
 class GraphData:
     """Mutable in-memory property graph, the input to ``compress``.
 

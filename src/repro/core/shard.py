@@ -53,14 +53,22 @@ class ShardEdgeFragment:
     def edge_data_at(self, time_order: int, with_properties: bool = True) -> EdgeData:
         return self._fragment.edge_data_at(time_order, with_properties)
 
+    def edge_data_range(
+        self, begin: int, end: int, with_properties: bool = True
+    ) -> List[EdgeData]:
+        return self._fragment.edge_data_range(begin, end, with_properties)
+
+    def properties_range(self, begin: int, end: int) -> List[PropertyList]:
+        return self._fragment.properties_range(begin, end)
+
     def time_range(self, t_low: Optional[int], t_high: Optional[int]) -> Tuple[int, int]:
         return self._fragment.time_range(t_low, t_high)
 
     def all_destinations(self) -> List[int]:
         return self._fragment.all_destinations()
 
-    def all_timestamps(self) -> List[int]:
-        return self._fragment.all_timestamps()
+    def timestamps_and_destinations(self) -> Tuple[List[int], List[int]]:
+        return self._fragment.timestamps_and_destinations()
 
     def deleted(self, time_order: int) -> bool:
         return self._shard.deletions.edge_deleted(
@@ -323,9 +331,8 @@ class CompressedShard:
             fragment = self.edge_file._parse_record_at(int(offset))
             # One sequential extract per column instead of per-edge
             # random accesses (the batched decode path).
-            destinations = fragment.all_destinations()
-            timestamps = fragment.all_timestamps()
-            properties = fragment.all_properties()
+            timestamps, destinations = fragment.timestamps_and_destinations()
+            properties = fragment.properties_range(0, fragment.edge_count)
             deleted = self.deletions.edges_deleted(
                 fragment.base_edge_index,
                 fragment.base_edge_index + fragment.edge_count,

@@ -52,11 +52,12 @@ def write_graph_file(graph: GraphData, path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def spawn(*cli_args: str) -> subprocess.Popen:
+def spawn(*cli_args: str, **popen_kwargs) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=REPO_SRC)
     return subprocess.Popen(
         [sys.executable, "-m", "repro", *cli_args],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        **popen_kwargs,
     )
 
 
@@ -214,3 +215,23 @@ def test_serve_master_rejects_address_gaps(tmp_path):
     with pytest.raises(SystemExit, match="missing --shard"):
         main(["serve-master", "--file", str(graph_file),
               "--shard", "2=127.0.0.1:7002"])
+
+
+def test_serve_shard_stops_on_sigint_inherited_as_ignored(tmp_path):
+    """A server whose parent left SIGINT ignored (a background job in a
+    non-interactive shell) still shuts down cleanly on SIGINT."""
+    graph_file = tmp_path / "graph.txt"
+    write_graph_file(build_graph(), graph_file)
+    proc = spawn(
+        "serve-shard", "--server-id", "0", "--file", str(graph_file),
+        "--port", "0", "--shards", str(NUM_SHARDS), "--alpha", str(ALPHA),
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+    )
+    try:
+        read_listening(proc)
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=5) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        Deployment.reap(proc)
